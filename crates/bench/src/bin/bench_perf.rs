@@ -3,11 +3,9 @@
 //!
 //! * `results/BENCH_sim.json` — raw simulator throughput
 //!   (simulated-cycles per wall-clock second) for one CNN (CifarNet)
-//!   and one RNN (GRU), measured over direct `simulate_run` calls. The
-//!   first pass is reported separately as the *cold* leg (memo table
-//!   empty — every launch fully simulated); the timed passes that
-//!   follow replay from the launch-memo table when `TANGO_SIM_MEMO` is
-//!   enabled, so the cold/warm ratio is the memoization speedup.
+//!   and one RNN (GRU), measured over direct `simulate_run` calls.
+//!   Every pass builds the network and simulates every launch; the
+//!   *cold* leg reports the fastest of the timed passes.
 //! * `results/BENCH_serve.json` — serve-engine throughput: requests per
 //!   wall-clock second and per simulated megacycle for an open-loop
 //!   trace at offered load 1.0, with batch costs precomputed through
@@ -36,24 +34,14 @@ use tango_bench::{append_line, emit_file, preset_from_env, samples_from_env, sto
 use tango_harness::workers_from_env;
 use tango_nets::NetworkKind;
 use tango_serve::{run_trace, ArrivalTrace, BatchPolicy, CostModel, ServeConfig, SimCostModel};
-use tango_sim::{memo_table_stats, GpuConfig, SimOptions};
+use tango_sim::{GpuConfig, SimOptions};
 
-/// Default timed simulator passes per network (after the cold pass).
+/// Default timed simulator passes per network.
 const DEFAULT_TIMED_RUNS: u32 = 2;
 const DEVICES: usize = 2;
 const DISTINCT_INPUTS: u64 = 4;
 const REQUESTS: usize = 200;
 const MAX_BATCH: u32 = 8;
-
-/// What the launch-memo layer will do for this process, per the same
-/// env rule the simulator applies (`TANGO_SIM_MEMO=0` disables).
-fn memo_mode() -> &'static str {
-    if std::env::var("TANGO_SIM_MEMO").is_ok_and(|v| v == "0") {
-        "off"
-    } else {
-        "on"
-    }
-}
 
 fn sim_leg(kinds: &[NetworkKind], timed_runs: u32) -> tango::Result<JsonObject> {
     let preset = preset_from_env();
@@ -61,7 +49,6 @@ fn sim_leg(kinds: &[NetworkKind], timed_runs: u32) -> tango::Result<JsonObject> 
         .str("bench", "sim")
         .str("preset", &preset.to_string())
         .str("seed", &format!("{SEED:#x}"))
-        .str("memo", memo_mode())
         .int("timed_runs", timed_runs as u64);
     for &kind in kinds {
         let spec = RunSpec {
@@ -71,34 +58,23 @@ fn sim_leg(kinds: &[NetworkKind], timed_runs: u32) -> tango::Result<JsonObject> 
             kind,
             options: SimOptions::new(),
         };
-        // Cold pass: nothing recorded yet for this network, so every
-        // launch is fully simulated (and recorded when memo is on).
-        let cold_start = Instant::now();
-        let cold = simulate_run(&spec)?;
-        let cold_wall_s = cold_start.elapsed().as_secs_f64();
-        let cycles = cold.report.total_cycles();
-        let start = Instant::now();
+        let mut cycles = None;
+        let mut cold_wall_s = f64::INFINITY;
         for _ in 0..timed_runs {
+            let start = Instant::now();
             let run = simulate_run(&spec)?;
-            assert_eq!(run.report.total_cycles(), cycles, "simulator must be deterministic");
+            cold_wall_s = cold_wall_s.min(start.elapsed().as_secs_f64());
+            let total = run.report.total_cycles();
+            assert_eq!(*cycles.get_or_insert(total), total, "simulator must be deterministic");
         }
-        let wall_s = start.elapsed().as_secs_f64();
+        let cycles = cycles.expect("at least one timed pass");
         let key = kind.name().to_ascii_lowercase();
         obj = obj
             .int(&format!("{key}_total_cycles"), cycles)
             .num(&format!("{key}_cold_wall_s"), cold_wall_s)
-            .num(&format!("{key}_cold_sim_cycles_per_sec"), cycles as f64 / cold_wall_s)
-            .num(&format!("{key}_wall_s"), wall_s)
-            .num(
-                &format!("{key}_sim_cycles_per_sec"),
-                (cycles * timed_runs as u64) as f64 / wall_s,
-            );
+            .num(&format!("{key}_cold_sim_cycles_per_sec"), cycles as f64 / cold_wall_s);
     }
-    let (memo_keys, memo_entries, memo_bytes) = memo_table_stats();
-    Ok(obj
-        .int("memo_table_keys", memo_keys as u64)
-        .int("memo_table_entries", memo_entries as u64)
-        .int("memo_table_bytes", memo_bytes as u64))
+    Ok(obj)
 }
 
 fn serve_leg(kinds: &[NetworkKind], workers: usize) -> tango_serve::Result<JsonObject> {
@@ -110,7 +86,6 @@ fn serve_leg(kinds: &[NetworkKind], workers: usize) -> tango_serve::Result<JsonO
         .str("bench", "serve")
         .str("preset", &preset.to_string())
         .str("seed", &format!("{SEED:#x}"))
-        .str("memo", memo_mode())
         .int("devices", DEVICES as u64)
         .int("requests", REQUESTS as u64)
         .int("max_batch", MAX_BATCH as u64);
@@ -212,14 +187,8 @@ fn history_line(sim: &JsonObject, serve: &JsonObject, fleet: &JsonObject, timed_
         .int("ts_unix", ts)
         .str("preset", &preset_from_env().to_string())
         .str("seed", &format!("{SEED:#x}"))
-        .str("memo", memo_mode())
         .int("timed_runs", timed_runs as u64);
-    for key in [
-        "cifarnet_cold_sim_cycles_per_sec",
-        "cifarnet_sim_cycles_per_sec",
-        "gru_cold_sim_cycles_per_sec",
-        "gru_sim_cycles_per_sec",
-    ] {
+    for key in ["cifarnet_cold_sim_cycles_per_sec", "gru_cold_sim_cycles_per_sec"] {
         if let Some(v) = sim.get(key) {
             hist = hist.raw(key, v);
         }
@@ -252,7 +221,7 @@ fn run() -> ExitCode {
     };
     let kinds = [NetworkKind::CifarNet, NetworkKind::Gru];
 
-    eprintln!("[perf] sim leg: 1 cold + {timed_runs} timed simulate_run passes per network (memo {})", memo_mode());
+    eprintln!("[perf] sim leg: {timed_runs} timed simulate_run passes per network");
     let sim = match sim_leg(&kinds, timed_runs) {
         Ok(obj) => obj,
         Err(e) => {

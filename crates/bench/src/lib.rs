@@ -15,23 +15,12 @@ pub mod microbench;
 use std::fs;
 use std::sync::{Arc, OnceLock};
 use tango::Characterizer;
+pub use tango_harness::preset_from_env;
 use tango_harness::{results_root, RunStore};
-use tango_nets::Preset;
 use tango_sim::GpuConfig;
 
 /// The deterministic seed every reproduction binary uses.
 pub const SEED: u64 = 0x7A16_0201_9151;
-
-/// Preset selected by `TANGO_PRESET` (`paper`, `bench`, `tiny`);
-/// defaults to `bench`, the scale DESIGN.md documents for the
-/// timing/power experiments.
-pub fn preset_from_env() -> Preset {
-    match std::env::var("TANGO_PRESET").as_deref() {
-        Ok("paper") => Preset::Paper,
-        Ok("tiny") => Preset::Tiny,
-        _ => Preset::Bench,
-    }
-}
 
 /// Timed sample count from `TANGO_BENCH_SAMPLES`: unset means
 /// `default`; a set value must parse as a positive integer. Same
@@ -191,6 +180,7 @@ impl JsonObject {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tango_nets::Preset;
 
     #[test]
     fn default_preset_is_bench() {

@@ -42,7 +42,7 @@ use tango_fleet::{
     FleetMetricsConfig, FleetReport, FleetTrace, PoolSpec, RoutePolicy,
 };
 use tango_fpga::PynqConfig;
-use tango_harness::{workers_from_env, RunStore, StableHasher, Suite, STORE_SCHEMA_VERSION};
+use tango_harness::{preset_from_env, workers_from_env, RunStore, StableHasher, Suite, STORE_SCHEMA_VERSION};
 use tango_nets::{NetworkKind, Preset};
 use tango_serve::SimCostModel;
 use tango_sim::{GpuConfig, SimOptions};
@@ -127,15 +127,6 @@ fn store_cmd(sub: Option<String>, args: std::env::Args) -> ExitCode {
 fn parse_kind(raw: &str) -> Option<NetworkKind> {
     let want = raw.to_lowercase();
     NetworkKind::EXTENDED.into_iter().find(|k| k.name().to_lowercase() == want)
-}
-
-/// Preset selected by `TANGO_PRESET`, mirroring `tango_bench`.
-fn preset_from_env() -> Preset {
-    match std::env::var("TANGO_PRESET").as_deref() {
-        Ok("paper") => Preset::Paper,
-        Ok("tiny") => Preset::Tiny,
-        _ => Preset::Bench,
-    }
 }
 
 /// Order-stable digest of the network output, so two runs can be
@@ -526,9 +517,7 @@ fn lint_network(kind: NetworkKind, preset: Preset, out: &mut String) -> Result<(
         // Parameter words are verified as 256-byte aligned: that is the
         // device allocator's guarantee for every buffer pointer, and
         // scalar parameters only reach addresses through multiplications
-        // the affine domain treats as opaque anyway. Launches additionally
-        // re-verify against their concrete parameter words in the
-        // simulator's memo layer.
+        // the affine domain treats as opaque anyway.
         let spec = LaunchSpec {
             grid: k.grid(),
             block: k.block(),

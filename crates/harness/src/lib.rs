@@ -34,4 +34,7 @@ pub use codec::{decode_backend, decode_build, decode_run, encode_backend, encode
 pub use hash::StableHasher;
 pub use key::{network_kind_code, network_kind_from_code, RecordKind, RunKey, STORE_SCHEMA_VERSION};
 pub use store::{results_root, GcReport, RunStore, StoreStats};
-pub use suite::{jobs_from_env, parse_worker_count, repro_plan, workers_from_env, Job, Suite, SuiteReport};
+pub use suite::{
+    jobs_from_env, parse_preset, parse_worker_count, preset_from_env, repro_plan, workers_from_env, Job, Suite,
+    SuiteReport,
+};

@@ -4,12 +4,14 @@
 //! `BENCH_serve.json`, `BENCH_fleet.json`) and appends one combined
 //! line per run to `bench_history.jsonl`. This module diffs two such
 //! records and *attributes* every delta to the pipeline leg it
-//! belongs to — sim (cold build vs warm memoized phase), serve (per
-//! network), or fleet (per routing policy) — so a throughput drop
-//! reads as "the warm sim leg regressed 23%", not as a wall of
-//! numbers. The same classification drives `ci.sh`'s perf-regression
-//! gate: a >20% drop on any *warm rate* key prints the full
-//! attribution table.
+//! belongs to — sim (cold and warm phases), serve (per network), or
+//! fleet (per routing policy) — so a throughput drop reads as "the
+//! cold sim leg regressed 23%", not as a wall of numbers. The same
+//! classification drives `ci.sh`'s perf-regression gate: a >20% drop
+//! on any *warm rate* key prints the full attribution table. Current
+//! `bench_perf` output has no warm sim phase; the `warm` and
+//! `memo_table_*` keys classify records written before the launch
+//! memo was removed.
 //!
 //! Everything here is deterministic string/number processing over
 //! [`tango_obs::json::parse_flat`] values; file loading lives in

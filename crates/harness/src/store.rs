@@ -125,12 +125,24 @@ impl RunStore {
     }
 
     /// Best-effort persist: a cache that cannot write is slow, not
-    /// broken, so I/O failures are swallowed.
+    /// broken, so I/O failures are swallowed. The temp name carries the
+    /// process, the thread and a process-wide sequence number, so
+    /// concurrent writers of one key never share a temp file.
     fn persist(&self, key: &RunKey, bytes: &[u8]) {
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         if fs::create_dir_all(&self.root).is_err() {
             return;
         }
-        let tmp = self.root.join(format!(".{}.tmp.{}", key.file_name(), std::process::id()));
+        let thread: String = format!("{:?}", std::thread::current().id())
+            .chars()
+            .filter(char::is_ascii_digit)
+            .collect();
+        let tmp = self.root.join(format!(
+            ".{}.tmp.{}.{thread}.{}",
+            key.file_name(),
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         if fs::write(&tmp, bytes).is_ok() {
             if fs::rename(&tmp, self.path_for(key)).is_ok() {
                 self.count(&self.writes, "writes");
@@ -536,6 +548,43 @@ mod tests {
         assert_eq!(stats.backend_records_for(BackendKind::Systolic), 1);
         assert_eq!(stats.backend_records_for(BackendKind::Gpu), 0, "GPU backend persists no .acc");
         assert_eq!(stats.run_records, 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn concurrent_persists_of_one_key_leave_one_complete_record() {
+        let root = scratch("concurrent");
+        let _ = fs::remove_dir_all(&root);
+        let store = RunStore::at(&root);
+        let bspec = BuildSpec {
+            preset: Preset::Tiny,
+            seed: 21,
+            kind: NetworkKind::Gru,
+        };
+        let (build, _) = store.fetch_build(&bspec).unwrap();
+        let key = RunKey::for_build(&bspec);
+        let bytes = encode_build(&build);
+        store.reset_counters();
+        const ROUNDS: u64 = 200;
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        barrier.wait();
+                        store.persist(&key, &bytes);
+                    }
+                });
+            }
+        });
+        // A shared temp file makes one writer's rename fail.
+        assert_eq!(store.writes(), 2 * ROUNDS, "every persist must land its own record");
+        let names: Vec<String> = fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec![key.file_name()], "leftover files: {names:?}");
+        assert_eq!(decode_build(&store.load(&key).unwrap()).unwrap(), build);
         let _ = fs::remove_dir_all(&root);
     }
 

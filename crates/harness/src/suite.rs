@@ -232,6 +232,40 @@ pub fn jobs_from_env() -> usize {
     workers_from_env("TANGO_JOBS").unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// Parses a preset name a user typed into `TANGO_PRESET` (`paper`,
+/// `bench` or `tiny`, surrounding whitespace ignored). Like
+/// [`parse_worker_count`], a value that is present but unusable is an
+/// error naming the variable, not a silent default.
+///
+/// # Errors
+///
+/// Returns a human-readable message naming `TANGO_PRESET` and the
+/// offending value when `raw` names no preset.
+pub fn parse_preset(raw: &str) -> std::result::Result<Preset, String> {
+    Preset::ALL
+        .into_iter()
+        .find(|p| p.name() == raw.trim())
+        .ok_or_else(|| format!("TANGO_PRESET must be one of paper, bench, tiny, got {raw:?}"))
+}
+
+/// Preset from `TANGO_PRESET`: unset means [`Preset::Bench`], the scale
+/// DESIGN.md documents for the timing/power experiments; a set value
+/// must pass [`parse_preset`].
+///
+/// A set but unusable value prints the error and exits the process
+/// with status 2, the same status the binaries give a bad `TANGO_JOBS`.
+pub fn preset_from_env() -> Preset {
+    let parsed = match std::env::var("TANGO_PRESET") {
+        Ok(v) => parse_preset(&v),
+        Err(std::env::VarError::NotPresent) => Ok(Preset::Bench),
+        Err(std::env::VarError::NotUnicode(_)) => Err("TANGO_PRESET is set to a non-UTF-8 value".into()),
+    };
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 /// The full experiment plan behind `repro_all`: every distinct
 /// simulation and build that the 16 figures and 4 tables request at
 /// `preset`/`seed`, deduplicated.
@@ -368,5 +402,17 @@ mod tests {
         }
         // Env-var wrapper: unset means available parallelism.
         assert!(workers_from_env("TANGO_TEST_UNSET_WORKER_VAR").unwrap() >= 1);
+    }
+
+    #[test]
+    fn preset_parsing_rejects_unknown_names() {
+        for preset in Preset::ALL {
+            assert_eq!(parse_preset(preset.name()), Ok(preset));
+        }
+        assert_eq!(parse_preset(" tiny\n"), Ok(Preset::Tiny));
+        for bad in ["", "garbage", "Tiny", "paper2"] {
+            let err = parse_preset(bad).unwrap_err();
+            assert!(err.contains("TANGO_PRESET") && err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 }

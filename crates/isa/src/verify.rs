@@ -19,11 +19,9 @@
 //!    `ld`/`st` by width, provable alignment, coalescing, and bounds, and
 //!    proving per-instruction cross-lane store injectivity (the race check).
 //!
-//! The affine pass also produces the **alignment certificate** the launch
-//! memo layer consumes: when every global access in a launch is provably
-//! 32-bit wide and 4-byte aligned, the runtime poison probes that guard
-//! replay correctness can be skipped (the probes only ever *detect* the
-//! condition the certificate rules out; replay semantics are unchanged).
+//! The affine pass also produces an **alignment certificate**: whether
+//! every global access in a launch is provably 32-bit wide and 4-byte
+//! aligned. `harness lint` reports it per kernel.
 
 mod affine;
 mod cfg;
@@ -253,8 +251,7 @@ pub struct Report {
     /// Per-access classification, sorted by pc (empty without launch facts).
     pub accesses: Vec<AccessInfo>,
     /// `true` when every global access is provably 32-bit wide and 4-byte
-    /// aligned — the proof obligation that lets the launch memo layer skip
-    /// its runtime poison probes.
+    /// aligned.
     pub aligned_certified: bool,
 }
 
@@ -304,9 +301,8 @@ pub fn verify_program(program: &KernelProgram) -> Report {
 /// Runs every pass, including the thread-affine memory analysis, against a
 /// launch shape.
 ///
-/// The returned [`Report::aligned_certified`] flag is the memo layer's
-/// probe-elision certificate and is only trustworthy when `spec.params`
-/// carries the real launch parameters.
+/// The returned [`Report::aligned_certified`] flag is only trustworthy
+/// when `spec.params` carries the real launch parameters.
 pub fn verify_launch(program: &KernelProgram, spec: &LaunchSpec<'_>) -> Report {
     let mut report = Report::default();
     let reachable = cfg::check(program, &mut report);

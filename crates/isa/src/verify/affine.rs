@@ -19,7 +19,7 @@
 //! extent), proves per-instruction cross-lane store injectivity (the race
 //! check, which needs the guard-refined ranges: edge tiles are only
 //! race-free *because* of their guarded exits), and derives the
-//! alignment certificate the launch memo layer uses to skip poison probes.
+//! alignment certificate ([`Report::aligned_certified`]).
 
 use super::{
     AccessInfo, AccessPattern, BoundsStatus, Diagnostic, DiagnosticKind, LaunchSpec, Report,

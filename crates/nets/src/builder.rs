@@ -52,16 +52,16 @@ impl<'g> NetBuilder<'g> {
 
     /// Uploads a synthetic Xavier-initialized weight buffer.
     pub fn xavier_weights(&mut self, len: usize, fan_in: usize) -> u32 {
-        let data: Vec<f32> = (0..len).map(|_| self.rng.xavier(fan_in)).collect();
         self.weight_bytes += (len * 4) as u64;
-        self.gpu.upload_f32s(&data)
+        let rng = &mut self.rng;
+        self.gpu.upload_f32s_with(len, || rng.xavier(fan_in))
     }
 
     /// Uploads a synthetic uniform buffer (biases, norm statistics).
     pub fn uniform_weights(&mut self, len: usize, lo: f32, hi: f32) -> u32 {
-        let data: Vec<f32> = (0..len).map(|_| self.rng.uniform(lo, hi)).collect();
         self.weight_bytes += (len * 4) as u64;
-        self.gpu.upload_f32s(&data)
+        let rng = &mut self.rng;
+        self.gpu.upload_f32s_with(len, || rng.uniform(lo, hi))
     }
 
     fn push(&mut self, name: &str, layer_type: LayerType, op: Op) {

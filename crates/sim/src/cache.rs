@@ -48,11 +48,6 @@ impl Cache {
         &self.geometry
     }
 
-    /// Total line slots (sets x ways) — used to size memo-table accounting.
-    pub(crate) fn slot_count(&self) -> usize {
-        self.sets.len()
-    }
-
     /// Accumulated counters.
     pub fn stats(&self) -> CacheStats {
         self.stats

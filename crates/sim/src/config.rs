@@ -393,14 +393,6 @@ pub struct SimOptions {
     /// grids beyond one machine wave scale linearly — the cost shape a
     /// batched inference server schedules against.
     pub batch: u32,
-    /// Launch-memoization override. `None` (the default) defers to the
-    /// `TANGO_SIM_MEMO` environment variable (enabled unless set to `0`);
-    /// `Some(v)` forces the memo on or off for this launch regardless of
-    /// the environment. The memo is exact — identical `KernelStats` and
-    /// memory contents either way (see DESIGN.md section 13) — so this
-    /// only trades wall-clock time, never results. Excluded from launch
-    /// signatures and store keys for the same reason.
-    pub memo: Option<bool>,
 }
 
 impl SimOptions {
@@ -413,7 +405,6 @@ impl SimOptions {
             cta_sample_limit: Some(96),
             power_window: 4096,
             batch: 1,
-            memo: None,
         }
     }
 
@@ -443,13 +434,6 @@ impl SimOptions {
     pub fn with_batch(mut self, batch: u32) -> Self {
         assert!(batch >= 1, "batch replication factor must be at least 1");
         self.batch = batch;
-        self
-    }
-
-    /// Forces launch memoization on or off, overriding `TANGO_SIM_MEMO`.
-    /// Tests use this to compare both paths race-free within one process.
-    pub fn with_memo(mut self, memo: bool) -> Self {
-        self.memo = Some(memo);
         self
     }
 }

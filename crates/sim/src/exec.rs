@@ -8,7 +8,6 @@
 //! top by `sm.rs`.
 
 use crate::mem::GlobalMemory;
-use crate::memo::MemoRecorder;
 use tango_isa::{AddrSpace, CmpOp, DType, Dim3, Instruction, KernelProgram, Opcode, Operand, Special};
 
 /// Reconvergence value meaning "no reconvergence point" (the base stack
@@ -142,8 +141,6 @@ pub(crate) struct ExecCtx<'a> {
     /// allocation); the interpreter takes it, fills it, and hands it back
     /// through [`ExecOutcome::global_lines`].
     pub lines_scratch: &'a mut Vec<u32>,
-    /// Launch memo recorder, when this launch is being recorded.
-    pub rec: Option<&'a mut MemoRecorder>,
 }
 
 /// Micro-architecturally relevant facts about one executed warp-instruction.
@@ -460,9 +457,6 @@ pub(crate) fn execute(warp: &mut Warp, program: &KernelProgram, ctx: &mut ExecCt
                         } else {
                             ctx.mem.read_u16(addr) as u32
                         };
-                        if let Some(r) = ctx.rec.as_deref_mut() {
-                            r.on_global_read(addr, wide, v);
-                        }
                         warp.regs[dbase + lane as usize] = v;
                         let line = addr / ctx.line_bytes;
                         if !lines.contains(&line) {
@@ -511,9 +505,6 @@ pub(crate) fn execute(warp: &mut Warp, program: &KernelProgram, ctx: &mut ExecCt
                             ctx.mem.write_u32(addr, value);
                         } else {
                             ctx.mem.write_u16(addr, value as u16);
-                        }
-                        if let Some(r) = ctx.rec.as_deref_mut() {
-                            r.on_global_write(addr, wide, value);
                         }
                         let line = addr / ctx.line_bytes;
                         if !lines.contains(&line) {
@@ -603,7 +594,6 @@ mod tests {
             cta: (0, 0, 0),
             line_bytes: 128,
             lines_scratch: scratch,
-            rec: None,
         }
     }
 

@@ -4,7 +4,6 @@
 use crate::config::{CacheGeometry, GpuConfig, SimOptions};
 use crate::decode::{decode_program, DecodedInst};
 use crate::mem::GlobalMemory;
-use crate::memo::{self, MemoRecorder};
 use crate::memsys::MemorySystem;
 use crate::power::PowerMeter;
 use crate::sched::Scheduler;
@@ -97,6 +96,30 @@ impl Gpu {
         addr
     }
 
+    /// Floats staged per chunk by [`upload_f32s_with`](Self::upload_f32s_with).
+    pub const FILL_CHUNK: usize = 16 * 1024;
+
+    /// Allocates `len` floats and fills them in order with values drawn
+    /// from `next`, returning the device address.
+    ///
+    /// Writes exactly the bytes `upload_f32s` writes for the same values
+    /// collected first, but stages them through one reused
+    /// [`FILL_CHUNK`](Self::FILL_CHUNK)-float buffer: a synthetic weight
+    /// tensor (VGG-16's `fc6` holds 102.8M floats) never exists as a
+    /// second full copy on the host.
+    pub fn upload_f32s_with(&mut self, len: usize, mut next: impl FnMut() -> f32) -> u32 {
+        let addr = self.mem.alloc((len * 4) as u32);
+        let mut chunk = Vec::with_capacity(len.min(Self::FILL_CHUNK));
+        let mut at = addr;
+        for start in (0..len).step_by(Self::FILL_CHUNK) {
+            chunk.clear();
+            chunk.extend((start..len.min(start + Self::FILL_CHUNK)).map(|_| next()));
+            self.mem.write_f32s(at, &chunk);
+            at += (chunk.len() * 4) as u32;
+        }
+        addr
+    }
+
     /// Reads `len` floats from device memory.
     pub fn download_f32s(&self, addr: u32, len: usize) -> Vec<f32> {
         self.mem.read_f32s(addr, len)
@@ -112,13 +135,6 @@ impl Gpu {
     /// checks, dataflow lints, and the thread-affine access analysis from
     /// [`tango_isa::verify`], evaluated against this device's actual
     /// memory size and the concrete parameter words.
-    ///
-    /// The launch memo layer consults the same analysis: when it proves
-    /// every global access is an aligned 32-bit word
-    /// ([`Report::aligned_certified`](tango_isa::verify::Report)), the
-    /// recorder skips its per-access width/alignment poison probes. That
-    /// only elides a check the proof says cannot fire — replayed results
-    /// stay byte-identical.
     pub fn verify_launch(
         &self,
         program: &KernelProgram,
@@ -230,69 +246,19 @@ impl Gpu {
         self.memsys.reset_stats();
         let meter = PowerMeter::new(self.config.power, self.config.clock_ghz, opts.power_window);
 
-        // Launch memoization (DESIGN.md section 13): a launch is a pure
-        // function of its static description plus the device state it
-        // reads, so an identical earlier launch can be replayed exactly —
-        // write log applied, recorded post-hierarchy installed, recorded
-        // stats returned — instead of simulated.
-        let mut replayed = None;
-        let mut recorder = None;
-        if memo::enabled(opts.memo) {
-            // `memo` itself is excluded from the signature: it selects the
-            // execution strategy, never the result.
-            let opts_sig = format!(
-                "{:?}|{:?}|{:?}|{}|{}",
-                opts.scheduler, opts.l1d_bytes, opts.cta_sample_limit, opts.power_window, opts.batch
-            );
-            let config_sig = format!("{:?}", self.config);
-            let key = memo::static_key(program, grid, block, params, smem_bytes, &config_sig, &opts_sig);
-            match memo::lookup(key, self.memsys.state_tag(), &mut self.mem) {
-                Some((stats, post_memsys)) => {
-                    self.memsys = post_memsys;
-                    replayed = Some(stats);
-                }
-                None => {
-                    let mut rec = MemoRecorder::new(key, self.memsys.state_tag(), self.mem.size_bytes());
-                    // One static verification per static key: a proof that
-                    // every global access is an aligned word lets the
-                    // recorder drop its per-access poison probes.
-                    if memo::certification(key, || {
-                        self.verify_launch(program, grid, block, params).aligned_certified
-                    }) {
-                        rec.certify();
-                    }
-                    recorder = Some(rec);
-                    // Stamp a fresh tag *before* simulation mutates the
-                    // hierarchy, so an abandoned frame can never leave a
-                    // stale tag describing a state that no longer exists.
-                    self.memsys.refresh_tag();
-                }
-            }
-        } else {
-            self.memsys.refresh_tag();
-        }
-        let done = replayed.is_some();
-        let cycle = replayed.as_ref().map_or(0, |s| s.cycles);
-        let next_cta = if done { sim_ctas } else { 0 };
-
-        // A replayed launch never cycles, so skip building its machine.
-        let (sms, decoded) = if done {
-            (Vec::new(), Vec::new())
-        } else {
-            let sms: Vec<Sm> = (0..self.config.num_sms)
-                .map(|_| {
-                    Sm::new(
-                        &self.config,
-                        l1_geometry,
-                        ctas_per_sm,
-                        warps_per_cta,
-                        params.len(),
-                        Scheduler::new(policy, 6),
-                    )
-                })
-                .collect();
-            (sms, decode_program(program))
-        };
+        let sms: Vec<Sm> = (0..self.config.num_sms)
+            .map(|_| {
+                Sm::new(
+                    &self.config,
+                    l1_geometry,
+                    ctas_per_sm,
+                    warps_per_cta,
+                    params.len(),
+                    Scheduler::new(policy, 6),
+                )
+            })
+            .collect();
+        let decoded = decode_program(program);
 
         // Launch span: opened here at the thread's virtual cursor, closed
         // by `finish` at cursor + (extrapolated) cycles, so launch spans
@@ -317,12 +283,11 @@ impl Gpu {
             sim_ctas,
             ctas_per_sm,
             regs_per_thread,
-            next_cta,
-            cycle,
+            next_cta: 0,
+            cycle: 0,
             weight: 1,
-            done,
-            recorder,
-            replayed,
+            done: false,
+            debug_hang: std::env::var_os("TANGO_DEBUG_HANG").is_some(),
             vbase,
             last_gauge: 0,
         }
@@ -392,10 +357,9 @@ pub struct LaunchFrame<'a> {
     cycle: u64,
     weight: u64,
     done: bool,
-    /// Memo recorder for a live launch that is being recorded.
-    recorder: Option<MemoRecorder>,
-    /// Recorded stats installed by a memo hit; returned by `finish`.
-    replayed: Option<KernelStats>,
+    /// `TANGO_DEBUG_HANG` is set: dump active SM state periodically.
+    /// Read once per launch, not per step.
+    debug_hang: bool,
     vbase: u64,
     last_gauge: u64,
 }
@@ -467,7 +431,6 @@ impl LaunchFrame<'_> {
                 grid: self.grid,
                 block: self.block,
                 line_bytes: self.line_bytes,
-                rec: self.recorder.as_mut(),
             };
             let (active, hint) = sm.cycle(&mut env);
             any_active |= active;
@@ -497,7 +460,7 @@ impl LaunchFrame<'_> {
         let target = next_event.clamp(self.cycle + 1, self.cycle + 1_000_000);
         self.weight = target - self.cycle;
         self.cycle = target;
-        if std::env::var_os("TANGO_DEBUG_HANG").is_some() && self.cycle > 5_000 && self.cycle % 2048 < self.weight {
+        if self.debug_hang && self.cycle > 5_000 && self.cycle % 2048 < self.weight {
             for (i, sm) in self.sms.iter().enumerate() {
                 if sm.is_active() {
                     eprintln!("[hang] cycle {} sm {i}: {}", self.cycle, sm.debug_state(self.cycle, self.program));
@@ -528,11 +491,6 @@ impl LaunchFrame<'_> {
     /// Runs any remaining work to completion and assembles the launch
     /// statistics (identical to what a one-shot [`Gpu::launch`] returns).
     pub fn finish(mut self) -> KernelStats {
-        // A memo hit already produced the launch's exact statistics (and
-        // applied its memory effects) at `begin_launch`.
-        if let Some(stats) = self.replayed.take() {
-            return stats;
-        }
         while !self.done {
             self.step_once();
         }
@@ -590,10 +548,6 @@ impl LaunchFrame<'_> {
         // the sampled-prefix peak (more CTAs in flight in the same waves);
         // the peak is by definition at least the average.
         stats.peak_power_w = stats.peak_power_w.max(stats.avg_power_w);
-
-        if let Some(rec) = self.recorder.take() {
-            memo::record(rec, &self.gpu.memsys, &stats);
-        }
 
         if tango_obs::is_enabled() {
             // Close the launch span at the extrapolated end and surface

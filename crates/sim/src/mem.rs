@@ -87,17 +87,6 @@ impl GlobalMemory {
         self.data.len()
     }
 
-    /// Bounds-checked word read that returns `None` instead of panicking —
-    /// memo-replay probe verification must tolerate a memory that shrank or
-    /// was laid out differently since the recording.
-    pub(crate) fn try_read_u32(&self, addr: u32) -> Option<u32> {
-        let i = addr as usize;
-        if addr < Self::ALIGN || i + 4 > self.data.len() {
-            return None;
-        }
-        Some(u32::from_le_bytes([self.data[i], self.data[i + 1], self.data[i + 2], self.data[i + 3]]))
-    }
-
     /// Reads a 32-bit word.
     ///
     /// # Panics

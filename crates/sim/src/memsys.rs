@@ -4,12 +4,6 @@
 use crate::cache::Cache;
 use crate::config::GpuConfig;
 use crate::stats::CacheStats;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Source of fresh hierarchy state tags. Tag 0 is never issued, tag 1 is
-/// reserved for pristine hierarchies, so every mutated state gets a
-/// process-unique tag.
-static NEXT_TAG: AtomicU64 = AtomicU64::new(2);
 
 /// L2 + DRAM service model shared by all SMs.
 ///
@@ -24,12 +18,6 @@ pub struct MemorySystem {
     line_cycles: u64,
     dram_busy_until: u64,
     dram_accesses: u64,
-    /// Identity tag for the memoization layer: two `MemorySystem`s with
-    /// equal tags are guaranteed to hold equal cache/channel state. Fresh
-    /// hierarchies share tag 1; every live launch stamps a new unique tag
-    /// before running (see [`refresh_tag`](Self::refresh_tag)), and memo
-    /// replays install recorded clones carrying the recorded post tag.
-    state_tag: u64,
 }
 
 /// Outcome of one line request.
@@ -52,28 +40,7 @@ impl MemorySystem {
             line_cycles,
             dram_busy_until: 0,
             dram_accesses: 0,
-            state_tag: 1,
         }
-    }
-
-    /// Current state identity tag (equal tags imply equal state; a fresh
-    /// hierarchy is tag 1, which any other fresh hierarchy of the same
-    /// configuration shares).
-    pub(crate) fn state_tag(&self) -> u64 {
-        self.state_tag
-    }
-
-    /// Stamps a process-unique tag. Called at the start of every live
-    /// (non-replayed) launch, *before* simulation mutates the hierarchy,
-    /// so that an abandoned launch can never leave a stale tag claiming
-    /// unmutated state.
-    pub(crate) fn refresh_tag(&mut self) {
-        self.state_tag = NEXT_TAG.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Approximate heap footprint of a clone, for memo-table budgeting.
-    pub(crate) fn approx_clone_bytes(&self) -> usize {
-        self.l2.slot_count() * std::mem::size_of::<u64>() * 3 + 128
     }
 
     /// Services one line request issued at `now`.

@@ -7,7 +7,6 @@ use crate::config::{CacheGeometry, GpuConfig, PowerConstants};
 use crate::decode::{DecodedInst, DTYPE_ORDER};
 use crate::exec::{self, ExecCtx, PendKind, Warp};
 use crate::mem::GlobalMemory;
-use crate::memo::MemoRecorder;
 use crate::memsys::MemorySystem;
 use crate::power::{Component, PowerMeter};
 use crate::sched::Scheduler;
@@ -83,8 +82,6 @@ pub(crate) struct SmEnv<'a> {
     pub grid: Dim3,
     pub block: Dim3,
     pub line_bytes: u32,
-    /// Launch memo recorder, when this launch is being recorded.
-    pub rec: Option<&'a mut MemoRecorder>,
 }
 
 /// One streaming multiprocessor.
@@ -332,7 +329,6 @@ impl Sm {
                 cta: cta.coords,
                 line_bytes: env.line_bytes,
                 lines_scratch: &mut self.line_scratch,
-                rec: env.rec.as_deref_mut(),
             };
             exec::execute(&mut warp, env.program, &mut ectx)
         };
